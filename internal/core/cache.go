@@ -21,6 +21,13 @@ type ClientCache struct {
 	objs  map[ObjID]*cachedObj
 	lru   *list.List // front = most recent; elements hold PageID or ObjID
 
+	// pinnedPages/pinnedObjs list exactly the resident entries that are
+	// pinned, in pin order, so commit and abort walk the transaction's
+	// footprint instead of the whole cache. Dirty entries are always
+	// pinned, so the lists also cover every dirty entry.
+	pinnedPages []PageID
+	pinnedObjs  []ObjID
+
 	droppedPages []PageID
 	droppedObjs  []ObjID
 
@@ -109,7 +116,14 @@ func (c *ClientCache) TouchPage(p PageID) {
 		panic(fmt.Sprintf("core: touch of non-resident page %d", p))
 	}
 	c.lru.MoveToFront(cp.elem)
-	cp.Pinned = true
+	c.pinPage(p, cp)
+}
+
+func (c *ClientCache) pinPage(p PageID, cp *CachedPage) {
+	if !cp.Pinned {
+		cp.Pinned = true
+		c.pinnedPages = append(c.pinnedPages, p)
+	}
 }
 
 // MarkUnavailable marks object o unavailable (object-level callback).
@@ -132,7 +146,7 @@ func (c *ClientCache) MarkDirty(o ObjID) {
 	}
 	delete(cp.Unavail, o.Slot)
 	cp.Dirty[o.Slot] = true
-	cp.Pinned = true
+	c.pinPage(o.Page, cp)
 }
 
 // PurgePage removes page p (callback purge or abort). Pending drop notice
@@ -142,16 +156,29 @@ func (c *ClientCache) PurgePage(p PageID) {
 	if cp == nil {
 		return
 	}
+	if cp.Pinned {
+		c.pinnedPages = removeID(c.pinnedPages, p)
+	}
 	c.lru.Remove(cp.elem)
 	delete(c.pages, p)
+}
+
+// removeID deletes the one occurrence of id from ids, keeping the order.
+func removeID[T comparable](ids []T, id T) []T {
+	for i, x := range ids {
+		if x == id {
+			return append(ids[:i], ids[i+1:]...)
+		}
+	}
+	return ids
 }
 
 // DirtyPages returns the resident pages with uncommitted updates
 // (ascending), for building commit/abort messages.
 func (c *ClientCache) DirtyPages() []PageID {
 	var out []PageID
-	for p, cp := range c.pages {
-		if len(cp.Dirty) > 0 {
+	for _, p := range c.pinnedPages {
+		if len(c.pages[p].Dirty) > 0 {
 			out = append(out, p)
 		}
 	}
@@ -171,19 +198,18 @@ func (c *ClientCache) DirtyObjCount(p PageID) int {
 // CleanAll clears dirty marks after a successful commit (pages stay
 // cached and readable) and unpins everything.
 func (c *ClientCache) CleanAll() {
-	if c.ObjMode {
-		for _, co := range c.objs {
-			co.Dirty = false
-			co.Pinned = false
-		}
-		return
+	for _, o := range c.pinnedObjs {
+		co := c.objs[o]
+		co.Dirty = false
+		co.Pinned = false
 	}
-	for _, cp := range c.pages {
-		for s := range cp.Dirty {
-			delete(cp.Dirty, s)
-		}
+	for _, p := range c.pinnedPages {
+		cp := c.pages[p]
+		clear(cp.Dirty)
 		cp.Pinned = false
 	}
+	c.pinnedPages = c.pinnedPages[:0]
+	c.pinnedObjs = c.pinnedObjs[:0]
 }
 
 // PurgeUpdatesForAbort purges all dirty state for an abort: in page mode,
@@ -193,30 +219,18 @@ func (c *ClientCache) CleanAll() {
 // message can tell the server to deregister the copies.
 func (c *ClientCache) PurgeUpdatesForAbort() (pages []PageID, objs []ObjID) {
 	if c.ObjMode {
-		for o, co := range c.objs {
-			co.Pinned = false
-			if co.Dirty {
-				objs = append(objs, o)
-			}
-		}
-		for i := 1; i < len(objs); i++ {
-			for j := i; j > 0 && objLess(objs[j], objs[j-1]); j-- {
-				objs[j], objs[j-1] = objs[j-1], objs[j]
-			}
-		}
-		for _, o := range objs {
-			c.PurgeObj(o)
-		}
-		return nil, objs
+		objs = c.DirtyObjs()
+	} else {
+		pages = c.DirtyPages()
 	}
-	pages = c.DirtyPages()
+	c.CleanAll()
+	for _, o := range objs {
+		c.PurgeObj(o)
+	}
 	for _, p := range pages {
 		c.PurgePage(p)
 	}
-	for _, cp := range c.pages {
-		cp.Pinned = false
-	}
-	return pages, nil
+	return pages, objs
 }
 
 // ---- Object mode (OS) ----
@@ -244,7 +258,14 @@ func (c *ClientCache) TouchObj(o ObjID) {
 		panic(fmt.Sprintf("core: touch of non-resident object %v", o))
 	}
 	c.lru.MoveToFront(co.elem)
-	co.Pinned = true
+	c.pinObj(o, co)
+}
+
+func (c *ClientCache) pinObj(o ObjID, co *cachedObj) {
+	if !co.Pinned {
+		co.Pinned = true
+		c.pinnedObjs = append(c.pinnedObjs, o)
+	}
 }
 
 // MarkObjDirty records an uncommitted update to object o.
@@ -254,7 +275,7 @@ func (c *ClientCache) MarkObjDirty(o ObjID) {
 		panic(fmt.Sprintf("core: dirty mark on non-resident object %v", o))
 	}
 	co.Dirty = true
-	co.Pinned = true
+	c.pinObj(o, co)
 }
 
 // PurgeObj removes object o.
@@ -263,6 +284,9 @@ func (c *ClientCache) PurgeObj(o ObjID) {
 	if co == nil {
 		return
 	}
+	if co.Pinned {
+		c.pinnedObjs = removeID(c.pinnedObjs, o)
+	}
 	c.lru.Remove(co.elem)
 	delete(c.objs, o)
 }
@@ -270,16 +294,12 @@ func (c *ClientCache) PurgeObj(o ObjID) {
 // DirtyObjs returns the resident dirty objects (deterministic order).
 func (c *ClientCache) DirtyObjs() []ObjID {
 	var out []ObjID
-	for o, co := range c.objs {
-		if co.Dirty {
+	for _, o := range c.pinnedObjs {
+		if c.objs[o].Dirty {
 			out = append(out, o)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sortObjs(out)
 	return out
 }
 
@@ -353,10 +373,6 @@ func (c *ClientCache) ResidentObjs() []ObjID {
 	for o := range c.objs {
 		out = append(out, o)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sortObjs(out)
 	return out
 }

@@ -11,7 +11,7 @@ type ClientState struct {
 	Proto Protocol
 	Cache *ClientCache
 
-	// Active transaction state (zeroed between transactions).
+	// Active transaction state (cleared between transactions).
 	Txn          TxnID
 	readSet      map[ObjID]bool
 	writeSet     map[ObjID]bool
@@ -54,11 +54,13 @@ func (cs *ClientState) Begin(t TxnID) {
 		panic("core: Begin with transaction already active")
 	}
 	cs.Txn = t
-	cs.readSet = make(map[ObjID]bool)
-	cs.writeSet = make(map[ObjID]bool)
-	cs.pagesTouched = make(map[PageID]bool)
-	cs.pageX = make(map[PageID]bool)
-	cs.objX = make(map[ObjID]bool)
+	if cs.readSet == nil {
+		cs.readSet = make(map[ObjID]bool)
+		cs.writeSet = make(map[ObjID]bool)
+		cs.pagesTouched = make(map[PageID]bool)
+		cs.pageX = make(map[PageID]bool)
+		cs.objX = make(map[ObjID]bool)
+	}
 }
 
 // Active reports whether a transaction is in progress.
@@ -236,11 +238,7 @@ func (cs *ClientState) WriteSetObjs() []ObjID {
 	for o := range cs.writeSet {
 		out = append(out, o)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sortObjs(out)
 	return out
 }
 
@@ -267,11 +265,7 @@ func (cs *ClientState) WroteOn(p PageID) []ObjID {
 			out = append(out, o)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sortObjs(out)
 	return out
 }
 
@@ -408,11 +402,12 @@ func (cs *ClientState) endTxn() {
 	cs.Txn = NoTxn
 	cs.committing = false
 	cs.hasPendingWrite = false
-	cs.readSet = nil
-	cs.writeSet = nil
-	cs.pagesTouched = nil
-	cs.pageX = nil
-	cs.objX = nil
+	// Cleared, not dropped: the next Begin reuses the maps' storage.
+	clear(cs.readSet)
+	clear(cs.writeSet)
+	clear(cs.pagesTouched)
+	clear(cs.pageX)
+	clear(cs.objX)
 }
 
 // resolvePending discharges deferred callbacks now that no transaction is

@@ -243,12 +243,7 @@ func (lt *LockTab) ObjXObjs(t TxnID) []ObjID {
 	for o := range tl.ObjX {
 		objs = append(objs, o)
 	}
-	// Deterministic sort by (page, slot).
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && objLess(objs[j], objs[j-1]); j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
-	}
+	sortObjs(objs)
 	return objs
 }
 
@@ -257,6 +252,16 @@ func objLess(a, b ObjID) bool {
 		return a.Page < b.Page
 	}
 	return a.Slot < b.Slot
+}
+
+// sortObjs sorts o by (page, slot): the deterministic order every object
+// list the engine emits follows.
+func sortObjs(o []ObjID) {
+	for i := 1; i < len(o); i++ {
+		for j := i; j > 0 && objLess(o[j], o[j-1]); j-- {
+			o[j], o[j-1] = o[j-1], o[j]
+		}
+	}
 }
 
 // ObjXCountOnPage returns how many object locks txn t holds on page p.

@@ -933,13 +933,16 @@ func (se *ServerEngine) WaitGraph(visit func(t TxnID, deps []TxnID)) {
 
 // AbortDeadlockVictim aborts transaction t as the victim of a cycle a
 // cross-shard detector found in the merged wait graph. It reports false
-// (no messages, no counter) if t no longer exists here or is already
-// aborting — merged-graph cycles are detected without locks held across
-// shards, so a victim may have resolved in the meantime. The returned
-// messages must be dispatched, like Handle's.
+// (no messages, no counter) if t no longer exists here, is already
+// aborting, or no longer waits here (no blocked request, no callback
+// round) — merged-graph cycles are detected without locks held across
+// shards, so a victim may have resolved in the meantime, and a cycle
+// through a shard where t has stopped waiting has dissolved. Aborting
+// such a t would tell its client to abort no request at all. The
+// returned messages must be dispatched, like Handle's.
 func (se *ServerEngine) AbortDeadlockVictim(t TxnID) ([]Msg, bool) {
 	v := se.txns[t]
-	if v == nil || v.aborting {
+	if v == nil || v.aborting || (v.blocked == nil && v.round == nil) {
 		return nil, false
 	}
 	se.out = se.out[:0]

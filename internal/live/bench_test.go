@@ -280,9 +280,58 @@ func BenchmarkLiveCommitLargeWriteSet(b *testing.B) {
 	}
 }
 
+// BenchmarkClientReadOnlyTxn runs read-only transactions against a warm
+// client cache: Begin, 8 cached reads, a local commit. No message is
+// sent, so it isolates the client's per-transaction bookkeeping; the
+// guarded number is allocs/op.
+func BenchmarkClientReadOnlyTxn(b *testing.B) {
+	const nPages, objsPP, reads = 16, 20, 8
+	srv, err := OpenServer(b.TempDir(), ServerOptions{
+		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: objsPP,
+		NumPages: nPages, SyncWAL: false,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cEnd, sEnd := Pipe()
+	if _, err := srv.Attach(sEnd); err != nil {
+		b.Fatal(err)
+	}
+	cl, err := Connect(cEnd, ClientOptions{CachePages: nPages})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+
+	txn := func(i int) {
+		tx, err := cl.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < reads; r++ {
+			k := i*reads + r
+			if _, err := tx.Read(o(core.PageID(k%nPages), uint16(k%objsPP))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < nPages; i++ { // warm: fetch every page once
+		txn(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn(i)
+	}
+}
+
 // tcpPair returns both ends of one established loopback TCP connection,
 // so the wire benchmarks exercise the same socket path production uses.
-func tcpPair(b *testing.B) (net.Conn, net.Conn) {
+func tcpPair(b testing.TB) (net.Conn, net.Conn) {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

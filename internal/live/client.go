@@ -792,16 +792,26 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// collectUpdates builds the afterimage map for the commit message.
+// collectUpdates builds the afterimage map for the commit message; nil
+// for a read-only transaction.
 func (c *Client) collectUpdates() map[core.ObjID][]byte {
-	updates := make(map[core.ObjID][]byte)
 	if c.proto == core.OS {
-		for _, o := range c.cs.Cache.DirtyObjs() {
+		dirty := c.cs.Cache.DirtyObjs()
+		if len(dirty) == 0 {
+			return nil
+		}
+		updates := make(map[core.ObjID][]byte, len(dirty))
+		for _, o := range dirty {
 			updates[o] = append([]byte(nil), c.objData[o]...)
 		}
 		return updates
 	}
-	for _, p := range c.cs.Cache.DirtyPages() {
+	dirty := c.cs.Cache.DirtyPages()
+	if len(dirty) == 0 {
+		return nil
+	}
+	updates := make(map[core.ObjID][]byte)
+	for _, p := range dirty {
 		cp := c.cs.Cache.Page(p)
 		for slot := range cp.Dirty {
 			o := core.ObjID{Page: p, Slot: slot}
@@ -812,7 +822,8 @@ func (c *Client) collectUpdates() map[core.ObjID][]byte {
 }
 
 // applyReply installs a data/grant reply, merging the incoming page with
-// local uncommitted updates.
+// local uncommitted updates. The reply's Data is adopted as the cache
+// copy, not copied: a received message belongs to the receiver (Conn).
 func (c *Client) applyReply(m *core.Msg) {
 	switch m.Kind {
 	case core.MPageData:
@@ -825,14 +836,13 @@ func (c *Client) applyReply(m *core.Msg) {
 			}
 		}
 		c.cs.OnReply(m)
-		buf := append([]byte(nil), m.Data...)
-		c.pageData[m.Page] = buf
+		c.pageData[m.Page] = m.Data
 		for slot, bytes := range saved {
-			copy(buf[int(slot)*c.objSize:], bytes)
+			copy(m.Data[int(slot)*c.objSize:], bytes)
 		}
 	case core.MObjData:
 		c.cs.OnReply(m)
-		c.objData[m.Obj] = append([]byte(nil), m.Data...)
+		c.objData[m.Obj] = m.Data
 	case core.MGrant:
 		c.cs.OnReply(m)
 	default:

@@ -195,22 +195,11 @@ func (s *Server) CheckDeadlocks() int {
 		if sh == nil {
 			continue
 		}
-		held := s.lockShard(sh)
-		outs, ok := sh.eng.AbortDeadlockVictim(t)
-		var st []stagedPayload
-		var ov []core.ClientID
-		if ok {
-			st, ov = s.stage(outs)
-		}
-		s.unlockShard(sh, held)
+		st, ov, ok := s.abortVictimOn(sh, t)
 		if !ok {
 			continue // resolved between snapshot and abort; nothing died
 		}
 		aborted++
-		s.metrics.crossShardDeadlocks.Inc()
-		s.bsMu.Lock()
-		delete(s.blockStart, t)
-		s.bsMu.Unlock()
 		staged = append(staged, st...)
 		overflow = append(overflow, ov...)
 	}
@@ -219,4 +208,29 @@ func (s *Server) CheckDeadlocks() int {
 		s.detach(id)
 	}
 	return aborted
+}
+
+// abortVictimOn aborts cross-shard victim t on sh, the shard the merged
+// graph saw it waiting on, and stages the resulting messages; the caller
+// attaches their payloads and detaches overflowed sessions. It reports
+// false if t no longer waits on sh (see AbortDeadlockVictim).
+func (s *Server) abortVictimOn(sh *engineShard, t core.TxnID) ([]stagedPayload, []core.ClientID, bool) {
+	held := s.lockShard(sh)
+	outs, ok := sh.eng.AbortDeadlockVictim(t)
+	var st []stagedPayload
+	var ov []core.ClientID
+	if ok {
+		// Counted before staging: the victim's client may act on its
+		// abort before this function returns.
+		s.metrics.crossShardDeadlocks.Inc()
+		st, ov = s.stage(outs)
+	}
+	s.unlockShard(sh, held)
+	if !ok {
+		return nil, nil, false
+	}
+	s.bsMu.Lock()
+	delete(s.blockStart, t)
+	s.bsMu.Unlock()
+	return st, ov, true
 }

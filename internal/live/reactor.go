@@ -5,9 +5,9 @@ package live
 // The reactor transport: every TCP session multiplexed onto a small set
 // of epoll event loops, so the server's steady-state goroutine count is
 // O(loops), not O(sessions). The goroutine-per-connection transport costs
-// three goroutines per session (serve + writer + flusher) — fine at the
-// paper's 32 clients, dead at the 10k-100k sessions a page server is
-// supposed to hold (ROADMAP item 1).
+// two goroutines per session (serve + writer) — fine at the paper's 32
+// clients, dead at the 10k-100k sessions a page server is supposed to
+// hold (ROADMAP item 1).
 //
 // Topology: one epoll instance per loop, connections assigned round-robin
 // at accept. Sockets are registered EPOLLIN|EPOLLET; each loop does
@@ -289,6 +289,12 @@ func (l *rloop) run() {
 		}
 	}()
 	for {
+		if l.r.stopped.Load() {
+			// A stop whose wakeup found the flag still armed by a byte
+			// this loop already drained leaves no byte behind.
+			l.teardownAll()
+			return
+		}
 		n, err := epollWait(l.ep, l.events)
 		if l.r.stopped.Load() {
 			l.teardownAll()
@@ -339,17 +345,21 @@ func (l *rloop) run() {
 }
 
 func (l *rloop) drainWake() {
-	// Clear the armed flag BEFORE draining ops (runOps follows): a
-	// wakeup that CASes false->true after this point writes a fresh byte
-	// and the next epoll_wait sees it; one that lost its CAS to us has
-	// already appended its op, which this pass collects.
-	l.wakeArmed.Store(false)
+	// Empty the pipe BEFORE clearing the armed flag. A wakeup that CASes
+	// false->true after the clear writes a fresh byte this drain cannot
+	// swallow, so the next epoll_wait sees it. One that lost its CAS
+	// before the clear has already appended its op, which the runOps
+	// after this collects, or set stopped, which the loop checks before
+	// it waits again. Clearing first would let the drain swallow a fresh
+	// byte and leave the flag armed over an empty pipe, losing every
+	// later wakeup.
 	for {
 		n, err := syscall.Read(l.wakeR, l.wakeBuf[:])
 		if n < len(l.wakeBuf) || err != nil {
-			return
+			break
 		}
 	}
+	l.wakeArmed.Store(false)
 }
 
 func (l *rloop) runOps() {
@@ -438,9 +448,9 @@ func (l *rloop) teardown(rc *rconn) {
 		rc.rbuf = nil
 	}
 	if rc.recv != nil {
-		err := rc.termErr
-		if err == nil {
-			err = io.EOF
+		err := error(io.EOF)
+		if p := rc.termErr.Load(); p != nil {
+			err = *p
 		}
 		rc.recv(nil, err)
 	}
@@ -448,10 +458,11 @@ func (l *rloop) teardown(rc *rconn) {
 
 // ---- connection ----
 
-// rconn is one reactor-owned connection. It implements Conn (and
-// asyncConn): Send appends a frame to the pending queue, Flush attempts a
-// non-blocking drain, Recv reports that the connection is receiver-driven
-// (the server never calls it on an async session).
+// rconn is one reactor-owned connection. It implements Conn, asyncConn
+// and batchConn: Stage appends a frame to the pending queue, Flush
+// attempts a non-blocking drain, Send does both, and Recv reports that
+// the connection is receiver-driven (the server never calls it on an
+// async session).
 type rconn struct {
 	loop     *rloop
 	fd       int
@@ -477,9 +488,12 @@ type rconn struct {
 	registered bool
 	werr       error
 
-	kicked  atomic.Bool
-	closed  atomic.Bool
-	termErr error // written before the close op is enqueued
+	kicked atomic.Bool
+	closed atomic.Bool
+	// termErr is the terminal error fail records; teardown reads it on
+	// the loop, possibly from the loop-exit sweep, which does not go
+	// through the op queue's mutex.
+	termErr atomic.Pointer[error]
 }
 
 func (rc *rconn) SetHandlers(recv func(*core.Msg, error), pump func()) {
@@ -526,12 +540,20 @@ func (rc *rconn) register() error {
 	return nil
 }
 
-// Send encodes m straight into the pending queue (single copy; the frame
+// Send stages m and drains the queue without blocking.
+func (rc *rconn) Send(m *core.Msg) error {
+	if err := rc.Stage(m); err != nil {
+		return err
+	}
+	return rc.Flush()
+}
+
+// Stage encodes m straight into the pending queue (single copy; the frame
 // header is patched after the body lands). The actual syscall happens in
 // Flush or on EPOLLOUT. Exceeding the drain cap deposes the connection:
 // the error is returned AND the close is scheduled, so the pump stops and
 // the session detaches.
-func (rc *rconn) Send(m *core.Msg) error {
+func (rc *rconn) Stage(m *core.Msg) error {
 	rc.wmu.Lock()
 	if rc.werr != nil {
 		err := rc.werr
@@ -591,7 +613,7 @@ func (rc *rconn) flushLocked() error {
 			// retry
 		default:
 			rc.werr = err
-			rc.scheduleFail(err)
+			rc.fail(err)
 			return err
 		}
 	}
@@ -728,21 +750,13 @@ func (rc *rconn) Close() error {
 }
 
 // fail records the terminal error and queues the close op. First caller
-// wins; the loop delivers exactly one terminal receiver callback.
+// wins; the loop delivers exactly one terminal receiver callback. It
+// takes no lock of the connection's, so callers may hold wmu.
 func (rc *rconn) fail(err error) {
 	if !rc.closed.CompareAndSwap(false, true) {
 		return
 	}
-	rc.termErr = err // published by the op-queue mutex
-	rc.loop.enqueue(rop{kind: opClose, c: rc, at: time.Now().UnixNano()})
-}
-
-// scheduleFail is fail for callers already holding wmu (werr set there).
-func (rc *rconn) scheduleFail(err error) {
-	if !rc.closed.CompareAndSwap(false, true) {
-		return
-	}
-	rc.termErr = err
+	rc.termErr.Store(&err)
 	rc.loop.enqueue(rop{kind: opClose, c: rc, at: time.Now().UnixNano()})
 }
 

@@ -177,10 +177,9 @@ func countGoroutines() int {
 
 // TestReactorGoroutineCountIdleSessions: the whole point of the reactor
 // — N idle sessions must cost O(loops) server goroutines, not O(N).
-// Each raw Dial conn costs exactly one CLIENT-side goroutine (its
-// flushLoop), so with the reactor the total process delta stays near N;
-// the goroutine transport would add 3 more per session (serve, writer,
-// server-side flushLoop).
+// Client conns run no goroutine of their own (sends are write-through),
+// so the whole process delta is the server's; the goroutine transport
+// would add 2 per session (serve, writer).
 func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 	const nConns = 200
 	srv, addr := startTransportServer(t, ServerOptions{
@@ -215,15 +214,81 @@ func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 	}
 
 	after := countGoroutines()
-	// Allow the client-side flushLoops (one per conn) plus generous slack
-	// for loops, accept machinery, and runtime noise — but nowhere near
-	// the 3-per-session the goroutine transport would add.
-	serverSide := after - before - nConns
-	if serverSide > nConns/2 {
-		t.Fatalf("goroutines grew by %d for %d sessions (%d beyond client cost); server side is not O(loops)",
-			after-before, nConns, serverSide)
+	// Allow the loops plus slack for accept machinery and runtime noise
+	// — a small constant, nowhere near one goroutine per session.
+	if limit := len(srv.reactor.Load().loops) + 8; after-before > limit {
+		t.Fatalf("goroutines grew by %d for %d sessions (limit %d); not O(loops)",
+			after-before, nConns, limit)
 	}
 	t.Logf("goroutines: %d -> %d for %d idle sessions", before, after, nConns)
+}
+
+// TestReactorCrashWithLiveSessions fail-stops a reactor server while
+// clients are mid-transaction. The crash closes every session (each
+// close records its connection's terminal error) while the stopped loops
+// sweep and tear down the same connections; under the race detector
+// this checks that hand-off. Every client must then see its connection
+// fail rather than hang.
+func TestReactorCrashWithLiveSessions(t *testing.T) {
+	const nClients = 32
+	srv, addr := startTransportServer(t, ServerOptions{
+		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4,
+		NumPages: nClients, SyncWAL: false, Transport: TransportReactor,
+		ReactorLoops: 2,
+	})
+	defer srv.Close()
+	if srv.Transport() != TransportReactor {
+		t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
+	}
+
+	var started, wg sync.WaitGroup
+	started.Add(nClients)
+	wg.Add(nClients)
+	for i := 0; i < nClients; i++ {
+		go func(i int) {
+			defer wg.Done()
+			conn, err := Dial(addr)
+			if err != nil {
+				started.Done()
+				return
+			}
+			cl, err := Connect(conn, ClientOptions{})
+			if err != nil {
+				started.Done()
+				return
+			}
+			defer cl.Close()
+			once := false
+			for {
+				tx, err := cl.Begin()
+				if err == nil {
+					err = tx.Write(o(core.PageID(i), 0), []byte{byte(i)})
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if !once {
+					once = true
+					started.Done()
+				}
+				if err != nil {
+					return // the crash reached this client
+				}
+			}
+		}(i)
+	}
+	started.Wait()
+	srv.Crash()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("clients still running 15s after the crash")
+	}
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("%d sessions survived the crash", n)
+	}
 }
 
 // TestReactorSlowReaderDeposed: a session that requests pages but never
@@ -265,7 +330,7 @@ func TestReactorSlowReaderDeposed(t *testing.T) {
 		return srv.Sessions() == 0 &&
 			srv.Metrics().CounterValue("oodb_live_reactor_deposes_total") >= 1
 	}
-	fl := conn.(flusher)
+	fl := conn.(batchConn)
 	for i := 0; i < nPages && !deposed(); i++ {
 		m := &core.Msg{Kind: core.MReadReq, Txn: 999,
 			Obj: o(core.PageID(i), 0), Page: core.PageID(i)}

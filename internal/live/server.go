@@ -131,8 +131,8 @@ type ServerOptions struct {
 	ReclusterMaxMoves int
 	// Transport selects how ListenAndServe drives TCP sessions:
 	// TransportGoroutine (the default) runs the classic
-	// goroutine-per-connection loops (reader + writer + flusher per
-	// session); TransportReactor multiplexes every session onto a small
+	// goroutine-per-connection loops (reader + writer per session);
+	// TransportReactor multiplexes every session onto a small
 	// set of epoll event loops — O(loops) goroutines regardless of the
 	// session count, which is what lets one server hold 10k-100k
 	// sessions. Empty honors OODB_TRANSPORT. On platforms without epoll
@@ -577,6 +577,31 @@ func (s *session) close() {
 	s.cond.Broadcast()
 }
 
+// sendBatch ships msgs in order: staged and flushed once if the transport
+// batches, one Send each otherwise. It stops at the first error; frames
+// staged before it are still flushed.
+func sendBatch(c Conn, msgs []*outEntry) error {
+	bc, ok := c.(batchConn)
+	if !ok {
+		for _, e := range msgs {
+			if err := c.Send(&e.msg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var err error
+	for _, e := range msgs {
+		if err = bc.Stage(&e.msg); err != nil {
+			break
+		}
+	}
+	if ferr := bc.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
 // writer ships the outbox's maximal ready prefix, in order. It parks
 // while the head entry awaits its payload — later ready entries must not
 // overtake it (FIFO).
@@ -599,14 +624,10 @@ func (s *session) writer() {
 		batch := s.outbox[:n:n]
 		s.outbox = s.outbox[n:]
 		s.mu.Unlock()
-		for _, e := range batch {
-			if err := s.conn.Send(&e.msg); err != nil {
-				return // connection gone; serve() will detach
-			}
+		// The batch is staged and written with one syscall.
+		if err := sendBatch(s.conn, batch); err != nil {
+			return // connection gone; serve() will detach
 		}
-		// Batch boundary: push the coalesced frames out in one write
-		// instead of waiting for the transport's idle flush.
-		flushConn(s.conn)
 	}
 }
 
@@ -636,16 +657,9 @@ func (s *session) pump() {
 		s.outbox = s.outbox[n:]
 		s.pumping = true
 		s.mu.Unlock()
-		ok := true
-		for _, e := range batch {
-			if err := s.conn.Send(&e.msg); err != nil {
-				ok = false // conn deposed/failed; its close path detaches us
-				break
-			}
-		}
-		if ok {
-			flushConn(s.conn)
-		}
+		// An error means the conn was deposed or failed; its close path
+		// detaches us.
+		ok := sendBatch(s.conn, batch) == nil
 		s.mu.Lock()
 		s.pumping = false
 		if !ok {

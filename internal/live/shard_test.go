@@ -92,8 +92,17 @@ func runShardWorkload(t *testing.T, shards int) ([]byte, core.ServerStats) {
 		}
 	}
 
-	st := srv.Stats()
+	// The last transaction aborts, and an abort is one-way: close the
+	// client and wait for its session to detach, which the server does
+	// only after handling every message the client sent.
 	c.Close()
+	for deadline := time.Now().Add(10 * time.Second); srv.Sessions() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("client session never detached")
+		}
+		sleepMs(1)
+	}
+	st := srv.Stats()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

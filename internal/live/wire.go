@@ -17,36 +17,34 @@ import (
 // Conn is a bidirectional, ordered message channel between one client and
 // the server. Both in-process and TCP transports implement it.
 type Conn interface {
-	// Send transmits one message. Safe for concurrent use. Sends may be
-	// buffered; the transport guarantees timely delivery without an
-	// explicit flush.
+	// Send transmits one message. Safe for concurrent use. Sends are
+	// write-through: the frame is handed to the transport on the caller's
+	// goroutine before Send returns, so no flush is ever needed.
 	Send(m *core.Msg) error
-	// Recv blocks for the next message. Single consumer.
+	// Recv blocks for the next message. Single consumer. The returned
+	// message and its Data belong to the receiver: the transport never
+	// touches them again, so a client may adopt the bytes as its cache
+	// copy without copying them.
 	Recv() (*core.Msg, error)
 	// Close tears the connection down; pending Recv returns an error.
 	Close() error
 }
 
-// flusher is the optional fast-path a buffered transport exposes: callers
-// that know a batch boundary (e.g. the server's session writer after
-// draining its outbox) can force the coalesced bytes out immediately
-// instead of waiting for the idle flush.
-type flusher interface {
+// batchConn is the optional fast path a buffering transport exposes to a
+// caller that ships messages in batches (the server's session writer and
+// reactor pump): Stage encodes a frame into the write buffer without a
+// syscall, and Flush writes everything staged so far, so a batch of N
+// messages costs one write.
+type batchConn interface {
+	Stage(m *core.Msg) error
 	Flush() error
-}
-
-// flushConn flushes c if its transport buffers writes.
-func flushConn(c Conn) {
-	if f, ok := c.(flusher); ok {
-		f.Flush()
-	}
 }
 
 // asyncConn is the push-mode transport contract the reactor conns
 // implement. Instead of a goroutine parked in Recv, the owner installs a
 // receiver callback (invoked once per inbound message, or once with a
 // terminal error) and a pump callback that drains the owner's outbox into
-// Send/Flush. Kick schedules the pump on the transport's event loop; it is
+// Stage/Flush. Kick schedules the pump on the transport's event loop; it is
 // non-blocking and safe to call under any lock, so the server can request
 // output from inside the engine without doing wire work there.
 type asyncConn interface {
@@ -139,9 +137,9 @@ const wireVersion byte = 1
 var handshakeTimeout = 5 * time.Second
 
 // tcpConn frames messages with the binary codec (codec.go) over a
-// net.Conn. Writes coalesce in a bufio.Writer and are flushed by a
-// dedicated goroutine when the sender goes idle, so back-to-back sends
-// (callback fan-outs, grant bursts) share syscalls.
+// net.Conn. Send is write-through: it encodes the frame and writes it on
+// the caller's goroutine, so a connection runs no goroutine of its own.
+// Batching callers use Stage/Flush to share one write among many frames.
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -154,28 +152,18 @@ type tcpConn struct {
 	readBuf []byte
 	hdrIn   [4]byte
 
+	// sendMu serializes writers. wbuf holds frames staged but not yet
+	// written; it is empty between calls except inside a Stage..Flush
+	// batch.
 	sendMu  sync.Mutex
-	bw      *bufio.Writer
-	hdrOut  [4]byte
-	sendErr error // sticky: first write/flush failure poisons the conn
-
-	flushWake chan struct{} // cap 1: signal "bytes are buffered"
-	closeOnce sync.Once
-	done      chan struct{}
+	wbuf    []byte
+	sendErr error // sticky: first write failure poisons the conn
 }
 
 // NewTCPConn wraps an established net.Conn (version handshake already
 // done, if any).
 func NewTCPConn(c net.Conn) Conn {
-	t := &tcpConn{
-		c:         c,
-		br:        bufio.NewReaderSize(c, 64<<10),
-		bw:        bufio.NewWriterSize(c, 64<<10),
-		flushWake: make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
-	go t.flushLoop()
-	return t
+	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
 }
 
 // Dial connects to a live server at addr and presents the wire version.
@@ -212,70 +200,65 @@ func acceptHandshake(c net.Conn) error {
 }
 
 func (t *tcpConn) Send(m *core.Msg) error {
-	bp := encBufPool.Get().(*[]byte)
-	body := appendMsg((*bp)[:0], m)
-	var err error
-	if len(body) > maxFrame {
-		err = fmt.Errorf("live: message exceeds frame limit (%d bytes)", len(body))
-	} else {
-		t.sendMu.Lock()
-		if err = t.sendErr; err == nil {
-			binary.LittleEndian.PutUint32(t.hdrOut[:], uint32(len(body)))
-			if _, err = t.bw.Write(t.hdrOut[:]); err == nil {
-				_, err = t.bw.Write(body)
-			}
-			if err != nil {
-				t.sendErr = err
-			}
-		}
-		t.sendMu.Unlock()
-	}
-	*bp = body
-	encBufPool.Put(bp)
-	if err != nil {
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+	if err := t.stageLocked(m); err != nil {
 		return err
 	}
-	// Wake the idle flusher; a pending wake already covers us.
-	select {
-	case t.flushWake <- struct{}{}:
-	default:
-	}
-	return nil
+	return t.flushLocked()
 }
 
-// Flush forces buffered frames out now (batch boundary hint).
+// Stage encodes m into the write buffer; the next Flush (or Send) writes
+// it.
+func (t *tcpConn) Stage(m *core.Msg) error {
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+	return t.stageLocked(m)
+}
+
+// Flush writes every staged frame in one call.
 func (t *tcpConn) Flush() error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
+	return t.flushLocked()
+}
+
+// stageLocked appends m's frame to wbuf, encoding the body in place and
+// patching the length header after it lands.
+func (t *tcpConn) stageLocked(m *core.Msg) error {
 	if t.sendErr != nil {
 		return t.sendErr
 	}
-	if err := t.bw.Flush(); err != nil {
-		t.sendErr = err
-		return err
+	old := len(t.wbuf)
+	t.wbuf = appendMsg(append(t.wbuf, 0, 0, 0, 0), m)
+	body := len(t.wbuf) - old - 4
+	if body > maxFrame {
+		t.wbuf = t.wbuf[:old]
+		return fmt.Errorf("live: message exceeds frame limit (%d bytes)", body)
 	}
+	binary.LittleEndian.PutUint32(t.wbuf[old:], uint32(body))
 	return nil
 }
 
-// flushLoop writes buffered frames whenever the senders go idle. While a
-// flush's syscall is in flight, further Sends append to the buffer behind
-// sendMu; the next wake flushes them all at once — that lag is the write
-// coalescing.
-func (t *tcpConn) flushLoop() {
-	for {
-		select {
-		case <-t.flushWake:
-		case <-t.done:
-			return
-		}
-		t.sendMu.Lock()
-		if t.sendErr == nil {
-			if err := t.bw.Flush(); err != nil {
-				t.sendErr = err
-			}
-		}
-		t.sendMu.Unlock()
+func (t *tcpConn) flushLocked() error {
+	if t.sendErr != nil {
+		return t.sendErr
 	}
+	if len(t.wbuf) == 0 {
+		return nil
+	}
+	_, err := t.c.Write(t.wbuf)
+	// Drop a burst-grown buffer so an idle connection pins at most
+	// readBufKeep of write memory.
+	if cap(t.wbuf) > readBufKeep {
+		t.wbuf = nil
+	} else {
+		t.wbuf = t.wbuf[:0]
+	}
+	if err != nil {
+		t.sendErr = err
+	}
+	return err
 }
 
 // readBufKeep caps how much frame buffer a connection keeps pinned
@@ -308,15 +291,10 @@ func (t *tcpConn) Recv() (*core.Msg, error) {
 	return decodeMsg(buf)
 }
 
+// Close tears the socket down. Sends are write-through, so nothing is
+// left buffered; closing without sendMu also unblocks a writer stuck on a
+// peer that stopped reading.
 func (t *tcpConn) Close() error {
-	t.closeOnce.Do(func() { close(t.done) })
-	// Push out anything still buffered (e.g. a final abort notice) before
-	// tearing the socket down.
-	t.sendMu.Lock()
-	if t.sendErr == nil {
-		t.bw.Flush()
-	}
-	t.sendMu.Unlock()
 	return t.c.Close()
 }
 

@@ -1,8 +1,12 @@
 package live
 
 import (
+	"bytes"
 	"io"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +84,7 @@ func TestChanConnCloseDrain(t *testing.T) {
 }
 
 // TestTCPConnFraming round-trips representative messages through the real
-// framing (header, coalesced writes, idle flush) over a socket pair.
+// framing (length header, write-through sends) over a socket pair.
 func TestTCPConnFraming(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -108,8 +112,8 @@ func TestTCPConnFraming(t *testing.T) {
 		{Kind: core.MGrant, Txn: 2, Obj: o(1, 1)},
 		{Kind: core.MCommitReq, Txn: 3, Updates: map[core.ObjID][]byte{o(0, 0): []byte("v")}},
 	}
-	// Send a burst without explicit flushes: the idle flusher must push
-	// them out, in order.
+	// Send a burst without explicit flushes: each Send writes its frame,
+	// so all arrive, in order.
 	for _, m := range msgs {
 		if err := t1.Send(m); err != nil {
 			t.Fatal(err)
@@ -174,7 +178,7 @@ func TestDialNeverReadsServer(t *testing.T) {
 	if err := conn.Send(&core.Msg{Kind: core.MPageData, Data: make([]byte, 8192)}); err != nil {
 		t.Fatalf("Send after handshake deadline elapsed: %v", err)
 	}
-	if err := conn.(flusher).Flush(); err != nil {
+	if err := conn.(batchConn).Flush(); err != nil {
 		t.Fatalf("Flush after handshake deadline elapsed: %v (stale write deadline?)", err)
 	}
 }
@@ -256,4 +260,114 @@ func TestJitteredSpread(t *testing.T) {
 	if same == 16 {
 		t.Fatal("two jitter sources produced identical sequences; seeds not decorrelated")
 	}
+}
+
+// writeCounter counts the Write calls reaching a net.Conn.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(b)
+}
+
+// TestTCPConnSendWritesThrough: a lone Send reaches the peer with no
+// Flush, in exactly one write, and wrapping a socket starts no goroutine.
+func TestTCPConnSendWritesThrough(t *testing.T) {
+	c1, c2 := tcpPair(t)
+	before := runtime.NumGoroutine()
+	wc := &writeCounter{Conn: c1}
+	sender, receiver := NewTCPConn(wc), NewTCPConn(c2)
+	defer sender.Close()
+	defer receiver.Close()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("wrapping two sockets changed the goroutine count %d -> %d", before, after)
+	}
+	if err := sender.Send(&core.Msg{Kind: core.MGrant, Txn: 5, Req: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if n := wc.writes.Load(); n != 1 {
+		t.Fatalf("lone Send made %d writes, want 1", n)
+	}
+	got, err := receiver.Recv()
+	if err != nil || got.Txn != 5 || got.Req != 9 {
+		t.Fatalf("Recv: m=%+v err=%v", got, err)
+	}
+}
+
+// TestTCPConnBatchOneWrite: a session writer's batch of N frames is
+// staged and written with one syscall, and arrives whole and in order.
+func TestTCPConnBatchOneWrite(t *testing.T) {
+	c1, c2 := tcpPair(t)
+	wc := &writeCounter{Conn: c1}
+	sender, receiver := NewTCPConn(wc), NewTCPConn(c2)
+	defer sender.Close()
+	defer receiver.Close()
+	const n = 32
+	batch := make([]*outEntry, n)
+	for i := range batch {
+		batch[i] = &outEntry{msg: core.Msg{Kind: core.MPageData, Req: int64(i + 1),
+			Data: bytes.Repeat([]byte{byte(i)}, 512)}, ready: true}
+	}
+	if err := sendBatch(sender, batch); err != nil {
+		t.Fatal(err)
+	}
+	if w := wc.writes.Load(); w != 1 {
+		t.Fatalf("batch of %d frames made %d writes, want 1", n, w)
+	}
+	for i := 0; i < n; i++ {
+		m, err := receiver.Recv()
+		if err != nil {
+			t.Fatalf("Recv %d: %v", i, err)
+		}
+		if m.Req != int64(i+1) || !bytes.Equal(m.Data, batch[i].msg.Data) {
+			t.Fatalf("frame %d arrived as Req %d with %d bytes", i, m.Req, len(m.Data))
+		}
+	}
+}
+
+// TestTCPConnConcurrentSends: Sends from many goroutines interleave
+// whole frames, never bytes of two frames.
+func TestTCPConnConcurrentSends(t *testing.T) {
+	c1, c2 := tcpPair(t)
+	sender, receiver := NewTCPConn(c1), NewTCPConn(c2)
+	defer sender.Close()
+	defer receiver.Close()
+	const senders, each = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				m := &core.Msg{Kind: core.MPageData, From: core.ClientID(g + 1), Req: int64(i),
+					Data: bytes.Repeat([]byte{byte(g)}, 100+g*700)}
+				if err := sender.Send(m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	next := make([]int64, senders)
+	for k := 0; k < senders*each; k++ {
+		m, err := receiver.Recv()
+		if err != nil {
+			t.Fatalf("Recv %d: %v", k, err)
+		}
+		g := int(m.From) - 1
+		if g < 0 || g >= senders {
+			t.Fatalf("frame %d from unknown sender %d", k, m.From)
+		}
+		if want := bytes.Repeat([]byte{byte(g)}, 100+g*700); !bytes.Equal(m.Data, want) {
+			t.Fatalf("frame %d from sender %d torn: %d bytes", k, g, len(m.Data))
+		}
+		if m.Req != next[g] {
+			t.Fatalf("sender %d: frame %d arrived, want %d", g, m.Req, next[g])
+		}
+		next[g]++
+	}
+	wg.Wait()
 }
